@@ -4,8 +4,10 @@ The journal hooks in :class:`DataGraph` and :class:`StructuralIndex`
 cost one attribute load and an ``is not None`` test when no transaction
 is open — the zero-overhead contract that lets the hooks live in the
 mutation hot paths permanently.  This benchmark measures the same mixed
-workload three ways — unguarded, guarded without invariant checks, and
-guarded with periodic checks — and bounds the ratios.
+workload four ways — unguarded, guarded without invariant checks,
+guarded with periodic checks (scoped to each batch's region, with the
+full oracle on the guard's schedule), and guarded with the full oracle
+run explicitly at the same cadence — and bounds the ratios.
 
 The unguarded run *is* the hook-disabled case: no transaction ever
 opens, so every hook takes the ``None`` branch.  A regression that makes
@@ -20,7 +22,7 @@ import time
 
 from repro.index.oneindex import OneIndex
 from repro.maintenance.split_merge import SplitMergeMaintainer
-from repro.resilience import GuardConfig, GuardedMaintainer
+from repro.resilience import GuardConfig, GuardedMaintainer, InvariantGuard
 from repro.workload.updates import MixedUpdateWorkload
 from repro.workload.xmark import XMarkConfig, generate_xmark
 
@@ -31,20 +33,30 @@ CONFIG = XMarkConfig(
 NUM_PAIRS = 40
 
 
-def _apply_workload(guard_config: GuardConfig | None = None) -> float:
-    """Build index + run the mixed workload; return update seconds."""
+def _apply_workload(
+    guard_config: GuardConfig | None = None, full_check_every: int = 0
+) -> float:
+    """Build index + run the mixed workload; return update seconds.
+
+    ``full_check_every=N`` additionally runs the full invariant oracle
+    after every N-th update, outside the guard's own cadence.
+    """
     graph = generate_xmark(CONFIG).graph
     workload = MixedUpdateWorkload.prepare(graph, seed=11)
-    maintainer = SplitMergeMaintainer(OneIndex.build(graph))
+    index = OneIndex.build(graph)
+    maintainer = SplitMergeMaintainer(index)
     if guard_config is not None:
         maintainer = GuardedMaintainer(maintainer, guard_config)
+    oracle = InvariantGuard(level="valid")
     operations = list(workload.steps(NUM_PAIRS))
     started = time.perf_counter()
-    for op, source, target in operations:
+    for step, (op, source, target) in enumerate(operations, start=1):
         if op == "insert":
             maintainer.insert_edge(source, target)
         else:
             maintainer.delete_edge(source, target)
+        if full_check_every and step % full_check_every == 0:
+            oracle.check(graph, index=index)
     return time.perf_counter() - started
 
 
@@ -55,7 +67,15 @@ def test_guard_overhead(run_once, benchmark):
         checked = _apply_workload(
             GuardConfig(policy="raise", check_level="valid", check_every=10)
         )
-        return {"unguarded": unguarded, "journaled": journaled, "checked": checked}
+        full = _apply_workload(
+            GuardConfig(policy="raise", check_every=0), full_check_every=10
+        )
+        return {
+            "unguarded": unguarded,
+            "journaled": journaled,
+            "checked": checked,
+            "full": full,
+        }
 
     times = run_once(run)
     print()
@@ -73,3 +93,4 @@ def test_guard_overhead(run_once, benchmark):
     # absolute extra_info numbers drift up.
     assert times["journaled"] < times["unguarded"] * 10
     assert times["checked"] < times["unguarded"] * 40
+    assert times["full"] < times["unguarded"] * 40

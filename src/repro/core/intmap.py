@@ -29,6 +29,10 @@ def _new_page() -> array:
     return array("q", _EMPTY_PAGE_BYTES)
 
 
+#: a shared all-absent page for bulk reads of missing pages (never written)
+_ABSENT_PAGE = _new_page()
+
+
 class PagedIntMap:
     """An int→int mapping stored as pages of ``array('q')``.
 
@@ -132,6 +136,17 @@ class PagedIntMap:
     # ------------------------------------------------------------------
     # Bulk helpers
     # ------------------------------------------------------------------
+
+    def get_many(self, keys) -> list[int]:
+        """The values at *keys*, in order, with ``-1`` where absent.
+
+        The bulk read of the scoped invariant checks: one list
+        comprehension over the pages instead of a :meth:`get` call per
+        key.  Keys must be non-negative ints.
+        """
+        pages = self._pages
+        empty = _ABSENT_PAGE
+        return [pages.get(key >> PAGE_BITS, empty)[key & PAGE_MASK] for key in keys]
 
     def set_all(self, keys, value: int) -> None:
         """Bulk ``self[k] = value`` over *keys*.

@@ -675,6 +675,64 @@ class DataGraph:
                 "root must have no incoming edges"
             )
 
+    def check_invariants_near(
+        self,
+        dnodes: Iterable[int],
+        edges: Iterable[tuple[int, int]],
+        num_edges: int,
+    ) -> None:
+        """:meth:`check_invariants` restricted to what a batch touched.
+
+        Checks the slot map and the mirrored, duplicate-free adjacency of
+        every live dnode in *dnodes* (dead ones are gone by definition),
+        the IDREF entry of every ``(source, target)`` pair in *edges*,
+        the root, and that the edge counter equals *num_edges*.  Sound as
+        a whole-graph check only if the graph was consistent before the
+        batch and *dnodes* / *edges* cover every node and edge it changed.
+        """
+        slot_of = self._slot_of
+        succ_slabs = self._succ_slabs
+        pred_slabs = self._pred_slabs
+        for oid in dnodes:
+            slot = slot_of.get(oid)
+            if slot is None:
+                continue
+            assert self._oid_at[slot] == oid, f"slot map broken for oid {oid}"
+            assert self._label_at[slot] >= 0, f"label missing for oid {oid}"
+            targets = succ_slabs.to_list(slot)
+            assert len(set(targets)) == len(targets), f"duplicate succ at {oid}"
+            for target in targets:
+                target_slot = slot_of.get(target)
+                assert target_slot is not None, f"dangling edge {oid}->{target}"
+                assert pred_slabs.contains(target_slot, oid), (
+                    f"pred missing for {oid}->{target}"
+                )
+            sources = pred_slabs.to_list(slot)
+            assert len(set(sources)) == len(sources), f"duplicate pred at {oid}"
+            for origin in sources:
+                origin_slot = slot_of.get(origin)
+                assert origin_slot is not None, f"dangling pred {origin}->{oid}"
+                assert succ_slabs.contains(origin_slot, oid), (
+                    f"succ missing for {origin}->{oid}"
+                )
+        assert num_edges == self._num_edges, "edge counter out of sync"
+        idref = self._idref
+        for source, target in edges:
+            if ((source << _OID_SHIFT) | target) not in idref:
+                continue
+            source_slot = slot_of.get(source)
+            assert source_slot is not None and succ_slabs.contains(
+                source_slot, target
+            ), f"IDREF entry for non-edge {source}->{target}"
+            assert target != self._root, f"IDREF edge {source}->{target} targets root"
+        if self._root is not None:
+            root_slot = slot_of.get(self._root)
+            assert root_slot is not None, "root node missing"
+            assert (
+                self._interner.name_of(self._label_at[root_slot]) == ROOT_LABEL
+            ), "root label corrupted"
+            assert pred_slabs.length(root_slot) == 0, "root must have no incoming edges"
+
     # ------------------------------------------------------------------
     # Journal undo (repro.resilience)
     # ------------------------------------------------------------------

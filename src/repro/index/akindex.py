@@ -22,7 +22,7 @@ do not depend on the physical layout.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from repro.exceptions import InvalidIndexError, StructuralIndexError
 from repro.graph.datagraph import DataGraph
@@ -251,6 +251,95 @@ class AkIndexFamily:
                         f"stale child {child} under {token}@{i - 1}"
                     )
             assert set(level.parent) == set(level.extents), f"parent keys drift @{i}"
+
+    def check_invariants_near(
+        self,
+        dnodes: set[int],
+        tokens: Iterable[tuple[int, int]] = (),
+        dead: Iterable[int] = (),
+    ) -> int:
+        """:meth:`check_invariants` restricted to a region of the family.
+
+        *dnodes* are live dnodes whose classes may have changed, *tokens*
+        ``(level, token)`` pairs that may have changed on top of their
+        classes, *dead* dnodes that were deleted.  At every level this
+        checks each region dnode's class entry against its extent, each
+        region token's non-emptiness, labels, refinement-tree parent and
+        children, that dead dnodes are gone, and that the extents add up
+        to the graph size.  Members outside *dnodes* are trusted to be as
+        they were, except for one representative per token that pins the
+        label and the parent of the rest.  Sound as a whole-family check
+        only if the family was consistent before the batch and the region
+        holds every dnode and token the batch changed.
+
+        Returns the number of classes checked, over all levels.
+        """
+        graph = self.graph
+        num_nodes = graph.num_nodes
+        dead = list(dead)
+        by_level: list[set[int]] = [set() for _ in range(self.k + 1)]
+        for i, token in tokens:
+            by_level[i].add(token)
+        checked_tokens = 0
+        for i, level in enumerate(self.levels):
+            class_of = level.class_of
+            extents = level.extents
+            assert len(class_of) == num_nodes, f"level {i} does not cover the graph"
+            covered = sum(map(len, extents.values()))
+            assert covered == num_nodes, f"extents at level {i} overlap or leak"
+            for dnode in dead:
+                assert dnode not in class_of, f"level {i} does not cover the graph"
+            members: dict[int, list[int]] = {}
+            for dnode in dnodes:
+                token = class_of.get(dnode)
+                assert token is not None, f"level {i} does not cover the graph"
+                assert dnode in extents.get(token, ()), (
+                    f"class map broken at level {i} for dnode {dnode}"
+                )
+                members.setdefault(token, []).append(dnode)
+            coarser = self.levels[i - 1] if i > 0 else None
+            finer = self.levels[i + 1] if i < self.k else None
+            region = by_level[i] | members.keys()
+            checked_tokens += len(region)
+            for token in region:
+                extent = extents.get(token)
+                if extent is None:
+                    assert i == 0 or token not in level.parent, (
+                        f"parent keys drift @{i}"
+                    )
+                    continue
+                assert extent, f"empty inode {token} at level {i}"
+                # one member outside the region pins the label and parent
+                # every unchanged member still shares; all-region tokens
+                # are checked member by member against their first member
+                pin = next((w for w in extent if w not in dnodes), None)
+                if pin is None:
+                    checked = list(extent)
+                else:
+                    checked = members.get(token, []) + [pin]
+                for w in checked:
+                    assert class_of.get(w) == token, (
+                        f"class map broken at level {i} for dnode {w}"
+                    )
+                label = graph.label(checked[0])
+                for w in checked:
+                    assert graph.label(w) == label, f"inode {token}@{i} mixes labels"
+                if coarser is not None:
+                    parent = level.parent.get(token)
+                    assert parent is not None, f"parent keys drift @{i}"
+                    for w in checked:
+                        assert coarser.class_of[w] == parent, (
+                            f"tree parent wrong for {token}@{i}"
+                        )
+                    assert token in coarser.children.get(parent, set()), (
+                        f"children link missing for {token}@{i}"
+                    )
+                if finer is not None:
+                    for child in level.children.get(token, ()):
+                        assert child in finer.extents, (
+                            f"stale child {child} under {token}@{i}"
+                        )
+        return checked_tokens
 
     def is_minimum(self) -> bool:
         """Whether every level equals the freshly-constructed minimum.

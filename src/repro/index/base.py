@@ -36,7 +36,9 @@ from __future__ import annotations
 
 import sys
 from array import array
+from collections import Counter
 from collections.abc import Iterable, Iterator
+from itertools import chain
 from typing import Optional
 
 from repro.core.intmap import PAGE_BITS, PAGE_MASK, PagedIntMap
@@ -769,6 +771,7 @@ class StructuralIndex:
             for pos, w in enumerate(arr):
                 assert self._inode_of.get(w) == inode, f"mapping broken for dnode {w}"
                 assert self._pos_of.get(w) == pos, f"position broken for dnode {w}"
+                assert self.graph.has_node(w), "partition does not cover the graph"
                 assert self.graph.label(w) == self._label[inode], (
                     f"label mismatch in inode {inode}"
                 )
@@ -792,6 +795,73 @@ class StructuralIndex:
             assert self._pred_support[inode] == pred_oracle[inode], (
                 f"pred supports of inode {inode} drifted"
             )
+
+    def check_invariants_near(
+        self, inodes: Iterable[int], dnodes: Iterable[int] = ()
+    ) -> list[int]:
+        """:meth:`check_invariants` restricted to the live inodes in *inodes*.
+
+        For each one: a non-empty, duplicate-free extent agreeing with
+        the partition map, the position map and the label, and support
+        tables equal to a recount from the extent's adjacency.  Every
+        live dnode in *dnodes* must be covered, and the extents must add
+        up to the graph size.  Sound as a whole-index check only if the
+        index was consistent before the batch and *inodes* holds every
+        inode the batch changed plus the inodes of the dnodes it touched.
+
+        Returns the checked inodes whose members disagree on their set
+        of parent inodes — exactly the inodes that are unstable with
+        respect to some splitter (Definition 1), found in the same pass.
+        """
+        graph = self.graph
+        inode_of = self._inode_of
+        for dnode in dnodes:
+            if graph.has_node(dnode):
+                assert inode_of.get(dnode) is not None, "partition does not cover the graph"
+        covered = sum(map(len, self._extent_arr.values()))
+        assert covered == graph.num_nodes, "partition does not cover the graph"
+        # bulk reads of the slab graph's tables, one list per extent
+        slot_of, label_at = graph._slot_of, graph._label_at
+        pred_slabs, succ_slabs = graph._pred_slabs, graph._succ_slabs
+        unstable: list[int] = []
+        for inode in inodes:
+            arr = self._extent_arr.get(inode)
+            if arr is None:
+                continue
+            size = len(arr)
+            assert size, f"inode {inode} has an empty extent"
+            assert len(set(arr)) == size, f"extent of inode {inode} has duplicates"
+            assert inode_of.get_many(arr) == [inode] * size, (
+                f"mapping broken in inode {inode}"
+            )
+            assert self._pos_of.get_many(arr) == list(range(size)), (
+                f"position broken in inode {inode}"
+            )
+            slots = slot_of.get_many(arr)
+            assert -1 not in slots, "partition does not cover the graph"
+            label = self._label[inode]
+            label_id = graph._interner.id_of(label) if label in graph._interner else -1
+            assert [label_at[slot] for slot in slots] == [label_id] * size, (
+                f"label mismatch in inode {inode}"
+            )
+            preds = [inode_of.get_many(pred_slabs.segment(slot)) for slot in slots]
+            succs = [inode_of.get_many(succ_slabs.segment(slot)) for slot in slots]
+            pred_count = Counter(chain.from_iterable(preds))
+            succ_count = Counter(chain.from_iterable(succs))
+            assert -1 not in pred_count and -1 not in succ_count, (
+                "partition does not cover the graph"
+            )
+            assert self._succ_support[inode] == succ_count, (
+                f"succ supports of inode {inode} drifted: "
+                f"{self._succ_support[inode]} != {dict(succ_count)}"
+            )
+            assert self._pred_support[inode] == pred_count, (
+                f"pred supports of inode {inode} drifted"
+            )
+            # stable iff every member sees the same set of parent inodes
+            if len({frozenset(parents) for parents in preds}) > 1:
+                unstable.append(inode)
+        return unstable
 
     # ------------------------------------------------------------------
     # Journal undo (repro.resilience)

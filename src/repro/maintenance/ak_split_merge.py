@@ -58,10 +58,13 @@ class AkSplitMergeMaintainer:
         for token, extent in level0.extents.items():
             self._label_tokens[self.graph.label(next(iter(extent)))] = token
         #: optional :class:`repro.resilience.TouchedSet` for incremental
-        #: snapshot publication.  The family is rolled back by snapshot,
-        #: not journaled, so leaf-level (= level k) membership changes
-        #: are reported here directly: ``leaf_moves`` entries for every
-        #: placement/move/removal, ``leaf_tokens`` for emptied classes.
+        #: snapshot publication and scoped invariant checks.  The family
+        #: is rolled back by snapshot, not journaled, so changes are
+        #: reported here directly: ``leaf_moves`` entries for every
+        #: leaf-level (= level k) placement/move/removal, ``leaf_tokens``
+        #: for emptied leaf classes, and ``tokens`` for every class
+        #: created, emptied, re-parented or left by a dnode at any level
+        #: (plus the coarser classes whose children changed).
         self.touched = None
 
     # ------------------------------------------------------------------
@@ -136,8 +139,10 @@ class AkSplitMergeMaintainer:
             token = level.class_of.pop(dnode)
             extent = level.extents[token]
             extent.discard(dnode)
-            if level_no == family.k and self.touched is not None:
-                self.touched.leaf_moves.append((dnode, token, None))
+            if self.touched is not None:
+                self.touched.tokens.add((level_no, token))
+                if level_no == family.k:
+                    self.touched.leaf_moves.append((dnode, token, None))
             if not extent:
                 self._remove_empty_class(level_no, token, stats)
         graph.remove_node(dnode)
@@ -222,14 +227,17 @@ class AkSplitMergeMaintainer:
         stats = UpdateStats()
         for level_no in range(family.k + 1):
             level = family.levels[level_no]
-            track_leaf = level_no == family.k and self.touched is not None
+            touched = self.touched
+            track_leaf = level_no == family.k and touched is not None
             emptied: set[int] = set()
             for w in doomed:
                 token = level.class_of.pop(w)
                 extent = level.extents[token]
                 extent.discard(w)
+                if touched is not None:
+                    touched.tokens.add((level_no, token))
                 if track_leaf:
-                    self.touched.leaf_moves.append((w, token, None))
+                    touched.leaf_moves.append((w, token, None))
                 if not extent:
                     emptied.add(token)
             for token in emptied:
@@ -365,9 +373,15 @@ class AkSplitMergeMaintainer:
                     kids.discard(old_token)
                 level.parent[old_token] = new_parent
                 coarser.children.setdefault(new_parent, set()).add(old_token)
+                if self.touched is not None:
+                    self.touched.tokens.update(
+                        ((level_no, old_token), (level_no - 1, old_parent),
+                         (level_no - 1, new_parent))
+                    )
 
         # Assign every affected dnode to the class of its signature.
-        track = self.touched if level_no == family.k else None
+        touched = self.touched
+        track = touched if level_no == family.k else None
         changed: set[int] = set()
         for w in ordered:
             sig = sigs[w]
@@ -380,12 +394,16 @@ class AkSplitMergeMaintainer:
                 coarser.children.setdefault(sig[0], set()).add(target)
                 if level_no < family.k:
                     level.children[target] = set()
+                if touched is not None:
+                    touched.tokens.add((level_no - 1, sig[0]))
                 stats.splits += 1
             old = level.class_of.get(w)
             if old == target:
                 continue
             if old is not None:
                 level.extents[old].discard(w)
+                if touched is not None:
+                    touched.tokens.add((level_no, old))
             level.class_of[w] = target
             level.extents[target].add(w)
             if track is not None:
@@ -405,14 +423,19 @@ class AkSplitMergeMaintainer:
     def _remove_empty_class(self, level_no: int, token: int, stats: UpdateStats) -> None:
         family = self.family
         level = family.levels[level_no]
-        if level_no == family.k and self.touched is not None:
-            self.touched.leaf_tokens.add(token)
+        touched = self.touched
+        if touched is not None:
+            touched.tokens.add((level_no, token))
+            if level_no == family.k:
+                touched.leaf_tokens.add(token)
         del level.extents[token]
         if level_no > 0:
             parent = level.parent.pop(token)
             kids = family.levels[level_no - 1].children.get(parent)
             if kids is not None:
                 kids.discard(token)
+            if touched is not None:
+                touched.tokens.add((level_no - 1, parent))
         if level_no < family.k:
             level.children.pop(token, None)
         stats.merges += 1

@@ -12,15 +12,21 @@ makes every maintenance operation all-or-nothing:
   maintainer's public mutations transactionally and applies a ``raise``
   / ``retry`` / ``degrade`` failure policy, where ``degrade`` falls back
   to reconstruction from the rolled-back graph;
-* :class:`InvariantGuard` — cadenced post-checks reusing the library's
-  validity/minimality oracles;
+* :class:`InvariantGuard` — cadenced post-checks, scoped to the region a
+  batch touched (a :class:`CheckRegion`) with the library's full
+  validity/minimality oracles on a fixed schedule;
 * :class:`FaultInjector` — deterministic, seeded mid-operation faults
   for the chaos suite (``tests/resilience/``).
 """
 
 from repro.resilience.faults import PHASE_KINDS, REPLICATION_FAULTS, FaultInjector
 from repro.resilience.guard import POLICIES, GuardConfig, GuardedMaintainer, GuardStats
-from repro.resilience.invariants import LEVELS, InvariantGuard
+from repro.resilience.invariants import (
+    FULL_CHECK_EVERY,
+    LEVELS,
+    CheckRegion,
+    InvariantGuard,
+)
 from repro.resilience.journal import (
     JournalRecord,
     MutationJournal,
@@ -60,6 +66,8 @@ __all__ = [
     "GuardStats",
     "POLICIES",
     "InvariantGuard",
+    "CheckRegion",
+    "FULL_CHECK_EVERY",
     "LEVELS",
     "FaultInjector",
     "PHASE_KINDS",

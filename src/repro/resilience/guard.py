@@ -22,11 +22,20 @@ policy decides what happens next:
   mutation and rebuild once more — the update always lands, at
   reconstruction cost instead of incremental cost.
 
+Post-checks are scoped: a due check covers only what changed since the
+last verified state — the journal records of the transactions since,
+plus the A(k) maintainer's token reports — with the full oracle on the
+schedule described in :mod:`repro.resilience.invariants`.  The guard
+marks its :class:`~repro.resilience.invariants.CheckRegion` full after a
+rollback or degradation, after a maintainer-reported rebuild, and when
+the structures' mutation stamps show a change made outside the guard.
+
 Observability: every attempt runs in a ``txn`` span and the counters
 ``resilience.txns`` / ``.faults`` / ``.rollbacks`` / ``.retries`` /
-``.degradations`` / ``.checks`` tally the guard's work, so a traced
-guarded run (``--guard --trace``) shows exactly where resilience cost
-went.  The failure paths additionally emit ``resilience.rolled_back`` /
+``.degradations`` / ``.checks`` (split into ``.checks_full`` /
+``.checks_scoped``) tally the guard's work, so a traced guarded run
+(``--guard --trace``) shows exactly where resilience cost went.  The
+failure paths additionally emit ``resilience.rolled_back`` /
 ``.degraded`` / ``.gave_up`` events — the triggers a
 :class:`~repro.obs.flight.FlightRecorder` dumps its ring on.
 """
@@ -41,7 +50,7 @@ from repro.graph.datagraph import DataGraph, EdgeKind
 from repro.maintenance.base import UpdateStats
 from repro.obs import current as current_obs
 from repro.resilience.faults import FaultInjector
-from repro.resilience.invariants import InvariantGuard
+from repro.resilience.invariants import CheckRegion, InvariantGuard
 from repro.resilience.journal import TouchedSet, Transaction
 
 POLICIES = ("raise", "retry", "degrade")
@@ -91,7 +100,13 @@ class GuardStats:
     degradations: int = 0
     raw_fallbacks: int = 0
     checks: int = 0
+    #: due checks that ran the full oracle / only the touched region
+    checks_full: int = 0
+    checks_scoped: int = 0
     check_failures: int = 0
+    #: ``(commits, ok)`` at the latest full check: *commits* counts the
+    #: commits up to and including the state it verified; ``None`` = never
+    last_full_check: Optional[tuple[int, bool]] = None
     last_errors: list[str] = field(default_factory=list)
 
 
@@ -131,6 +146,17 @@ class GuardedMaintainer:
             sample_rate=self.config.sample_rate,
             seed=self.config.seed,
         )
+        #: what changed since the last verified state (scoped-check input)
+        self._region = CheckRegion()
+        #: mutation stamps of the structures after this guard's last commit
+        self._stamp: Optional[tuple] = None
+        #: the maintainer's report sink: owned here so the reports also
+        #: reach the check region, forwarded to :attr:`touched` after
+        #: every attempt
+        self._reports: Optional[TouchedSet] = None
+        if hasattr(maintainer, "touched"):
+            self._reports = TouchedSet()
+            maintainer.touched = self._reports
 
     # ------------------------------------------------------------------
     # The guarded mutation surface
@@ -224,12 +250,11 @@ class GuardedMaintainer:
         While installed, every transaction feeds its journal records into
         *touched*, and A(k) maintainers additionally report leaf-level
         membership changes (the family is snapshot-rolled-back, not
-        journaled).  The accumulator is a conservative superset across
-        rollbacks; the consumer clears it after each successful publish.
+        journaled), forwarded at the end of every attempt.  The
+        accumulator is a conservative superset across rollbacks; the
+        consumer clears it after each successful publish.
         """
         self.touched = touched
-        if hasattr(self.maintainer, "touched"):
-            self.maintainer.touched = touched
 
     # ------------------------------------------------------------------
     # Transaction engine
@@ -356,6 +381,16 @@ class GuardedMaintainer:
 
     def _attempt(self, apply_fn: Callable[[], Any], obs) -> Any:
         """One transactional attempt: mutate, post-check, commit."""
+        region = self._region
+        reports = self._reports
+        if self._stamp != self._mutation_stamp() or (
+            reports is not None and reports.full
+        ):
+            # changed or rebuilt outside a transaction: no verified state
+            # (whoever rebuilt owns the publication of that change)
+            region.mark_all()
+            if reports is not None:
+                reports.clear()
         txn = Transaction(
             self.graph,
             index=self.index,
@@ -365,14 +400,18 @@ class GuardedMaintainer:
         )
         txn.begin()
         obs.add("resilience.txns")
+        checked = False
         try:
             result = apply_fn()
             if self.invariants.due():
                 self.stats.checks += 1
                 obs.add("resilience.checks")
-                self.invariants.check(self.graph, index=self.index, family=self.family)
+                checked = True
+                self._check(txn.journal.records)
         except BaseException as exc:
             txn.rollback()
+            self._forward_reports()
+            region.mark_all()
             self.stats.rollbacks += 1
             obs.add("resilience.rollbacks")
             obs.event(
@@ -380,9 +419,63 @@ class GuardedMaintainer:
                 error=f"{type(exc).__name__}: {exc}",
             )
             raise
+        records = txn.journal.records
         txn.commit()
         self.stats.commits += 1
+        if checked:
+            region.reset(self.graph)
+        elif self.invariants.may_check:
+            self._extend_region(records)
+        self._forward_reports()
+        self._stamp = self._mutation_stamp()
         return result
+
+    def _check(self, records: list) -> None:
+        """Run a due check over everything since the verified state."""
+        self._extend_region(records)
+        invariants = self.invariants
+        ok = False
+        try:
+            invariants.check(
+                self.graph, index=self.index, family=self.family, region=self._region
+            )
+            ok = True
+        finally:
+            if invariants.last_scope == "full":
+                self.stats.checks_full += 1
+                self.stats.last_full_check = (self.stats.commits + (1 if ok else 0), ok)
+            else:
+                self.stats.checks_scoped += 1
+
+    def _extend_region(self, records: list) -> None:
+        """Add one transaction's records and the maintainer's reports."""
+        region = self._region
+        reports = self._reports
+        if reports is not None and reports.full:
+            region.mark_all()  # the maintainer rebuilt or reconstructed
+        region.add(records, reports.tokens if reports is not None else ())
+        if region.size > self.graph.num_nodes + self.graph.num_edges:
+            region.mark_all()  # the full oracle is cheaper than the fold
+
+    def _forward_reports(self) -> None:
+        """Hand the maintainer's reports on to :attr:`touched`, then reset."""
+        reports = self._reports
+        if reports is None or not reports:
+            return
+        if self.touched is not None:
+            self.touched.absorb(reports)
+        reports.clear()
+
+    def _mutation_stamp(self) -> tuple:
+        """Counters that move whenever the graph or the 1-index changes.
+
+        The A(k) family has no counter; its maintainer reports a rebuild
+        through :attr:`TouchedSet.full` instead.
+        """
+        return (
+            self.graph.generation,
+            None if self.index is None else self.index.generation,
+        )
 
     def _degrade(
         self, apply_fn: Callable[[], Any], raw_fn: Callable[[], Any], obs
@@ -397,6 +490,7 @@ class GuardedMaintainer:
         """
         self.stats.degradations += 1
         obs.add("resilience.degradations")
+        self._region.mark_all()
         if self.touched is not None:
             # rebuild renames every inode: nothing of the previous
             # snapshot is reusable, so force the full-capture fallback

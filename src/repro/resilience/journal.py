@@ -61,10 +61,12 @@ class TouchedSet:
     * :class:`~repro.maintenance.ak_split_merge.AkSplitMergeMaintainer`
       — the A(k) family is snapshot-rolled-back, not journaled, so the
       maintainer reports leaf-level membership changes directly into
-      :attr:`leaf_moves` / :attr:`leaf_tokens`.
+      :attr:`leaf_moves` / :attr:`leaf_tokens`, and every class it
+      creates, empties, re-parents or moves a dnode out of, at any
+      level, into :attr:`tokens` (the scoped invariant check's input).
     """
 
-    __slots__ = ("dnodes", "inodes", "leaf_moves", "leaf_tokens", "full")
+    __slots__ = ("dnodes", "inodes", "leaf_moves", "leaf_tokens", "tokens", "full")
 
     def __init__(self) -> None:
         #: dnodes whose label/value/adjacency changed (including dead ones)
@@ -76,6 +78,8 @@ class TouchedSet:
         self.leaf_moves: list[tuple[int, Optional[int], Optional[int]]] = []
         #: A(k) leaf tokens touched directly (e.g. classes emptied)
         self.leaf_tokens: set[int] = set()
+        #: A(k) ``(level, token)`` pairs touched at any level
+        self.tokens: set[tuple[int, int]] = set()
         #: everything invalidated — evolve must fall back to full capture
         self.full: bool = False
 
@@ -89,7 +93,18 @@ class TouchedSet:
         self.inodes.clear()
         self.leaf_moves.clear()
         self.leaf_tokens.clear()
+        self.tokens.clear()
         self.full = False
+
+    def absorb(self, other: "TouchedSet") -> None:
+        """Fold everything *other* recorded into this set."""
+        if other.full:
+            self.full = True
+        self.dnodes |= other.dnodes
+        self.inodes |= other.inodes
+        self.leaf_moves.extend(other.leaf_moves)
+        self.leaf_tokens |= other.leaf_tokens
+        self.tokens |= other.tokens
 
     def __bool__(self) -> bool:
         return bool(
@@ -98,6 +113,7 @@ class TouchedSet:
             or self.inodes
             or self.leaf_moves
             or self.leaf_tokens
+            or self.tokens
         )
 
     # ------------------------------------------------------------------
@@ -220,8 +236,12 @@ class MutationJournal:
                 ) from exc
 
     def clear(self) -> None:
-        """Forget all records (commit)."""
-        self.records.clear()
+        """Forget all records (commit).
+
+        Rebinds rather than empties the list, so a caller that kept the
+        committed records (the guard's deferred region check) keeps them.
+        """
+        self.records = []
 
 
 class Transaction:

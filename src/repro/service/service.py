@@ -557,7 +557,21 @@ class IndexService:
             "versions_published": self.stats.versions_published,
             "graph_bytes": self._graph_bytes(),
             "index_bytes": self._index_bytes(),
+            "last_full_check": self._last_full_check(),
         }
+
+    def _last_full_check(self) -> Optional[dict]:
+        """How recently the full invariant oracle verified the index.
+
+        ``commits_ago`` counts guarded commits since the verified state
+        (0: the latest commit was fully checked); ``ok`` is that check's
+        verdict.  ``None`` until the guard has run a full check.
+        """
+        stats = self.guarded.stats
+        if stats.last_full_check is None:
+            return None
+        commits, ok = stats.last_full_check
+        return {"commits_ago": stats.commits - commits, "ok": ok}
 
     def _writer_loop(self) -> None:
         """The background single writer: batch up, commit, repeat."""

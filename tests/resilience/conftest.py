@@ -19,6 +19,7 @@ from repro.index.akindex import AkIndexFamily
 from repro.index.base import StructuralIndex
 from repro.index.serialize import family_to_dict, index_to_dict
 from repro.workload.xmark import XMarkConfig, generate_xmark
+from tests.shadow_full import shadow_full_checks  # noqa: F401 - autouse differential
 
 #: CI chaos matrix seed — shifts workload and injector randomness
 CHAOS_SEED = int(os.environ.get("CHAOS_SEED", "0"))

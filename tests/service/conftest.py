@@ -14,6 +14,7 @@ import pytest
 
 from repro.graph.datagraph import DataGraph, EdgeKind
 from repro.workload.xmark import XMarkConfig, generate_xmark
+from tests.shadow_full import shadow_full_checks  # noqa: F401 - autouse differential
 
 #: CI soak matrix seed — shifts workload, query and injector randomness
 SOAK_SEED = int(os.environ.get("SOAK_SEED", "0"))

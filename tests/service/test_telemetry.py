@@ -111,6 +111,34 @@ class TestServiceHealth:
         json.dumps(doc)
 
 
+    def test_check_scopes_on_metrics_health_and_flight(self, xmark_graph):
+        """Scoped/full check counters and histograms reach ``/metrics``,
+        each check's scope and region reach the flight ring, and
+        ``health()`` says how recently the index was fully verified."""
+        from repro.obs import FlightRecorder, render_prometheus
+
+        recorder = FlightRecorder()
+        with observed(recorder) as obs:
+            service = IndexService(xmark_graph)
+            assert service.health()["last_full_check"] is None
+            for update in idref_ops(xmark_graph, 3):
+                service.submit(update)
+                service.flush()
+        assert service.health()["last_full_check"] == {"commits_ago": 2, "ok": True}
+        text = render_prometheus(obs.metrics)
+        assert "repro_resilience_checks_full 1" in text
+        assert "repro_resilience_checks_scoped 2" in text
+        assert "repro_resilience_check_seconds_full_count 1" in text
+        assert "repro_resilience_check_seconds_scoped_count 2" in text
+        assert "repro_resilience_check_region_inodes_count 3" in text
+        checks = [
+            record["attrs"] for record in recorder.records()
+            if record.get("name") == "resilience.check"
+        ]
+        assert [attrs["scope"] for attrs in checks] == ["full", "scoped", "scoped"]
+        assert all(attrs["region"] > 0 for attrs in checks)
+
+
 class TestLiveServiceSoak:
     """The ISSUE acceptance test: metrics + health served live, a fault
     dumps the flight recorder, and an SLO breach degrades /health."""

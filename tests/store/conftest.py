@@ -20,6 +20,7 @@ from repro.index.akindex import AkIndexFamily
 from repro.index.base import StructuralIndex
 from repro.index.serialize import family_to_dict, index_to_dict
 from repro.workload.xmark import XMarkConfig, generate_xmark
+from tests.shadow_full import shadow_full_checks  # noqa: F401 - autouse differential
 
 #: CI crash matrix seed — shifts workload and cut-point randomness
 CRASH_SEED = int(os.environ.get("CRASH_SEED", "0"))
