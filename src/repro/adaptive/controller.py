@@ -18,6 +18,14 @@ Runs at two cadences against one :class:`AdaptiveIndexService`:
   next commit may fire a reconstruction the relaxed policy would still
   have deferred.
 
+The p95 inputs come from two fixed windows the controller owns: the last
+64 commit latencies (``BatchResult.seconds``) and the last 64 query
+latencies (appended by the service's per-query accounting).
+
+Split/merge A(k) maintenance keeps the family minimum (Theorem 2), so
+its growth is never bloat and the reconstruction policy is not consulted
+for it; the ``one`` family and custom maintainers are governed by it.
+
 The controller never takes the writer lock itself — all mutation goes
 through the service's own entry points — so it can be driven from the
 writer thread, a flush() caller or a watchdog tick interchangeably.
@@ -26,10 +34,12 @@ writer thread, a flush() caller or a watchdog tick interchangeably.
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from repro.adaptive.cost_model import CostBasedPolicy, CostInputs, CostModel
+from repro.maintenance.ak_split_merge import AkSplitMergeMaintainer
 from repro.maintenance.reconstruction import ReconstructionPolicyProtocol
 from repro.obs import current as current_obs
 from repro.obs.slo import CRITICAL
@@ -43,12 +53,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 _WINDOW = 64
 
 
-def _p95(samples: list[float]) -> Optional[float]:
-    """p95 of the trailing window of *samples* (None when empty)."""
-    tail = samples[-_WINDOW:]
-    if not tail:
+def _p95(samples: "deque[float]") -> Optional[float]:
+    """p95 of a latency window (None when empty)."""
+    if not samples:
         return None
-    ordered = sorted(tail)
+    ordered = sorted(samples)
     return ordered[min(len(ordered) - 1, int(0.95 * len(ordered)))]
 
 
@@ -65,26 +74,36 @@ class AdaptiveController:
     retunes: int = 0
     #: alert names that most recently went CRITICAL (cleared on recovery)
     critical: set = field(default_factory=set)
+    #: trailing commit and query latencies (seconds) behind the p95 inputs
+    commit_seconds: deque = field(default_factory=lambda: deque(maxlen=_WINDOW))
+    query_seconds: deque = field(default_factory=lambda: deque(maxlen=_WINDOW))
 
     def __post_init__(self) -> None:
         self.policy.start(self.service.snapshot.num_inodes)
+        # split/merge A(k) maintenance keeps the minimum (Theorem 2)
+        self._keeps_minimum = isinstance(
+            self.service.guarded.maintainer, AkSplitMergeMaintainer
+        )
 
     # ------------------------------------------------------------------
 
     def on_commit(self, result: "BatchResult") -> None:
         """One committed batch: feed the model, maybe reconstruct/retune."""
         self.commits_seen += 1
+        self.commit_seconds.append(result.seconds)
         service = self.service
         inputs = CostInputs(
-            commit_p95_seconds=_p95(service.stats.commit_seconds),
-            query_p95_seconds=_p95(service.stats.query_seconds),
+            commit_p95_seconds=_p95(self.commit_seconds),
+            query_p95_seconds=_p95(self.query_seconds),
             cache_hit_rate=service.cache.stats.hit_rate,
             sizes=dict(service.ladder_sizes()),
             slo_critical=bool(self.critical),
         )
         if isinstance(self.policy, CostBasedPolicy):
             self.model.update(inputs, self.policy)
-        if self.policy.should_reconstruct(service.snapshot.num_inodes):
+        if not self._keeps_minimum and self.policy.should_reconstruct(
+            service.snapshot.num_inodes
+        ):
             started = time.perf_counter()
             service.reconstruct_now(reason="cost-policy")
             elapsed = time.perf_counter() - started

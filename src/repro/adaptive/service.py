@@ -243,7 +243,7 @@ class AdaptiveIndexService(IndexService):
         """Base-service bookkeeping plus the adaptive.* metric surface."""
         obs = current_obs()
         self.stats.queries += 1
-        self.stats.query_seconds.append(elapsed)
+        self.controller.query_seconds.append(elapsed)
         with self._query_count_lock:
             if version == self._snapshot.version:
                 self._queries_this_version += 1
@@ -337,8 +337,8 @@ class AdaptiveIndexService(IndexService):
         ``one``: quotient-graph reconstruction (Kaushik et al. [8]) on
         the live index.  ``ak``: full from-scratch rebuild of the family
         (split/merge A(k) maintenance already keeps the minimum
-        partition — Theorem 2 — so this fires only when the cost model
-        sees genuine drift, e.g. after a degrade rebuild).  Either way
+        partition — Theorem 2 — so the controller never fires this for
+        it; a custom maintainer's family may still drift).  Either way
         every token is renamed, so the publish is a full capture and the
         result cache flushes.
         """

@@ -595,9 +595,9 @@ class DataGraph:
     def approx_bytes(self, deep_values: bool = False) -> int:
         """Approximate resident bytes of the graph's storage.
 
-        Cheap by construction — O(#pages + #overlays + #labels), not
-        O(nodes) — so the serving layer can publish it as a gauge on
-        every commit.  ``deep_values=True`` additionally walks the node
+        O(#pages + #overlays + #labels), not O(nodes); the serving layer
+        reads it only when ``/health`` or ``/metrics`` is scraped, never
+        per commit.  ``deep_values=True`` additionally walks the node
         values dict exactly (O(values); used by the memory benches),
         otherwise values are estimated at a flat 48 bytes per entry.
         """

@@ -132,8 +132,8 @@ class AkIndexFamily:
         """Approximate resident bytes of the family's storage.
 
         O(#classes) per level — dict entries are estimated at a flat
-        56/64 bytes rather than walked, so this is cheap enough for the
-        per-publish ``repro_index_bytes`` gauge.
+        56/64 bytes rather than walked.  Read for the ``repro_index_bytes``
+        gauge when ``/metrics`` is scraped, never per commit.
         """
         import sys
 

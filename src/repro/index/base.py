@@ -746,9 +746,9 @@ class StructuralIndex:
     def approx_bytes(self) -> int:
         """Approximate resident bytes of the index's storage.
 
-        O(#inodes + #pages), cheap enough to publish as a gauge on every
-        commit.  Support-table entries are estimated at a flat 56 bytes
-        (dict slot + boxed key and count).
+        O(#inodes + #pages) — read when ``/health`` or ``/metrics`` is
+        scraped, never per commit.  Support-table entries are estimated
+        at a flat 56 bytes (dict slot + boxed key and count).
         """
         total = self._inode_of.approx_bytes() + self._pos_of.approx_bytes()
         total += sys.getsizeof(self._extent_arr) + sys.getsizeof(self._label)

@@ -63,6 +63,7 @@ def render_prometheus(
     plane: Optional[LivePlane] = None,
     prefix: str = "repro",
     now: Optional[float] = None,
+    service: Optional[object] = None,
 ) -> str:
     """The registry and/or plane in Prometheus text exposition format.
 
@@ -72,7 +73,10 @@ def render_prometheus(
     which is what dashboards alert on.  The compiled-path LRU's
     process-wide hit/miss statistics are always included as
     ``<prefix>_path_cache_*`` gauges — the read path's cheapest cache
-    deserves the same visibility as the serving-layer ones.
+    deserves the same visibility as the serving-layer ones.  With a
+    *service*, its resident-size estimates are read from ``health()``
+    now and emitted as ``<prefix>_graph_bytes`` / ``<prefix>_index_bytes``
+    gauges — derived values the commit path never pushes.
     """
     from repro.query.automaton import path_cache_info  # late: avoid cycle
 
@@ -87,6 +91,12 @@ def render_prometheus(
         metric = _prom_name(f"path_cache_{field_name}", prefix)
         lines.append(f"# TYPE {metric} gauge")
         lines.append(f"{metric} {value}")
+    if service is not None and hasattr(service, "health"):
+        doc = service.health()
+        for key in ("graph_bytes", "index_bytes"):
+            metric = _prom_name(key, prefix)
+            lines.append(f"# TYPE {metric} gauge")
+            lines.append(f"{metric} {doc[key]}")
     if registry is not None:
         for name, counter in sorted(registry.counters.items()):
             metric = _prom_name(name, prefix)
@@ -234,7 +244,7 @@ class MetricsServer:
                 try:
                     if self.path.split("?", 1)[0] == "/metrics":
                         body = render_prometheus(
-                            server.registry, server.plane
+                            server.registry, server.plane, service=server.service
                         ).encode("utf-8")
                         self._reply(200, "text/plain; version=0.0.4", body)
                     elif self.path.split("?", 1)[0] == "/health":

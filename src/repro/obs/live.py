@@ -9,16 +9,20 @@ those with sliding-window instruments layered over the same metric
 stream:
 
 * every instrument divides time into fixed **frames** (sub-windows) and
-  keeps one small aggregate per frame — log-bucket digests for
-  histograms (the same :data:`~repro.obs.metrics.BUCKETS_PER_OCTAVE`
-  bucketing as the cumulative histograms), plain sums for counters,
-  last-value + per-frame max for gauges;
+  keeps one small aggregate per frame — for histograms a
+  :class:`~repro.obs.metrics.Digest`, the very digest each cumulative
+  :class:`~repro.obs.metrics.Histogram` is built on; plain sums for
+  counters; last-value + per-frame max for gauges;
 * frames older than the **retention horizon** are pruned on the next
   write or read, so memory is bounded by ``retained frames × bucket
   cap`` regardless of traffic;
-* aggregation merges the frames inside any window up to the horizon —
-  the SLO watchdog reads the same instrument over a fast *and* a slow
-  window (burn-rate alerting) without extra state.
+* aggregation merges the frames inside any window up to the horizon
+  (``Digest.merge``) — the SLO watchdog reads the same instrument over
+  a fast *and* a slow window (burn-rate alerting) without extra state.
+
+Only metric *streams* live here.  Derived sizes such as the graph and
+index byte counts are not pushed at all: ``/metrics`` reads them from
+the service's ``health()`` when it is scraped.
 
 Feeding the plane is the :class:`~repro.obs.Observer` facade's job:
 ``attach_live(plane)`` mirrors every ``add``/``observe``/``set``/
@@ -40,7 +44,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro.obs.metrics import bucket_index, quantile_from_buckets
+from repro.obs.metrics import Digest
 
 __all__ = [
     "WindowConfig",
@@ -139,33 +143,6 @@ class WindowStats:
         }
 
 
-class _HistogramFrame:
-    """One frame of a sliding histogram: a tiny log-bucket digest."""
-
-    __slots__ = ("count", "total", "min", "max", "nonpositive", "buckets")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.total = 0.0
-        self.min: Optional[float] = None
-        self.max: Optional[float] = None
-        self.nonpositive = 0
-        self.buckets: dict[int, int] = {}
-
-    def observe(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
-        if value > 0.0:
-            index = bucket_index(value)
-            self.buckets[index] = self.buckets.get(index, 0) + 1
-        else:
-            self.nonpositive += 1
-
-
 class _FrameRing:
     """Frame bookkeeping shared by the sliding instruments.
 
@@ -218,7 +195,7 @@ class SlidingHistogram:
         no = ring.frame_no(now)
         frame = ring.frames.get(no)
         if frame is None:
-            frame = ring.frames[no] = _HistogramFrame()
+            frame = ring.frames[no] = Digest()
         frame.observe(value)
 
     def window(self, now: float, seconds: Optional[float] = None) -> WindowStats:
@@ -226,44 +203,24 @@ class SlidingHistogram:
         ring = self._ring
         seconds = seconds if seconds is not None else ring.config.width_seconds
         ring.prune(now)
-        stats = WindowStats(window_seconds=min(seconds, ring.config.retention_seconds))
-        merged: dict[int, int] = {}
-        nonpositive = 0
-        low: Optional[float] = None
-        high: Optional[float] = None
+        merged = Digest()
         for frame in ring.live_frames(seconds, now):
-            stats.count += frame.count
-            stats.total += frame.total
-            if frame.min is not None and (low is None or frame.min < low):
-                low = frame.min
-            if frame.max is not None and (high is None or frame.max > high):
-                high = frame.max
-            nonpositive += frame.nonpositive
-            for index, count in frame.buckets.items():
-                merged[index] = merged.get(index, 0) + count
-        if stats.count:
-            stats.min = low if low is not None else 0.0
-            stats.max = high if high is not None else 0.0
-            stats.p50 = quantile_from_buckets(
-                merged, nonpositive, stats.count, stats.min, stats.max, 50
-            )
-            stats.p95 = quantile_from_buckets(
-                merged, nonpositive, stats.count, stats.min, stats.max, 95
-            )
-            stats.p99 = quantile_from_buckets(
-                merged, nonpositive, stats.count, stats.min, stats.max, 99
-            )
-        return stats
+            merged.merge(frame)
+        return WindowStats(
+            window_seconds=min(seconds, ring.config.retention_seconds),
+            count=merged.count,
+            total=merged.total,
+            min=merged.min,
+            max=merged.max,
+            p50=merged.quantile(50),
+            p95=merged.quantile(95),
+            p99=merged.quantile(99),
+        )
 
     def approx_bytes(self) -> int:
         """Approximate heap footprint of the retained frames."""
-        size = sys.getsizeof(self._ring.frames)
-        for frame in self._ring.frames.values():
-            size += sys.getsizeof(frame.buckets)
-            size += sum(
-                sys.getsizeof(k) + sys.getsizeof(v) for k, v in frame.buckets.items()
-            )
-        return size
+        frames = self._ring.frames
+        return sys.getsizeof(frames) + sum(f.approx_bytes() for f in frames.values())
 
 
 class SlidingCounter:

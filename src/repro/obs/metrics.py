@@ -12,11 +12,12 @@ process observes commit and query latencies forever, so retaining every
 raw sample would make observability itself an unbounded leak on the hot
 path.  A :class:`Histogram` therefore keeps
 
-* exact ``count`` / ``total`` / ``min`` / ``max``;
-* **log-spaced bucket counts** (:data:`BUCKETS_PER_OCTAVE` buckets per
-  power of two, index clamped to ±:data:`BUCKET_INDEX_LIMIT`) — an
+* a :class:`Digest` — exact ``count`` / ``total`` / ``min`` / ``max``
+  plus **log-spaced bucket counts** (:data:`BUCKETS_PER_OCTAVE` buckets
+  per power of two, index clamped to ±:data:`BUCKET_INDEX_LIMIT`), an
   HDR-style digest with O(1) observe and a bounded relative quantile
-  error of ``2**(1/BUCKETS_PER_OCTAVE) - 1`` (~9%);
+  error of ``2**(1/BUCKETS_PER_OCTAVE) - 1`` (~9%), and the same one
+  the live plane's sliding windows keep per frame;
 * a **bounded reservoir** of raw samples (uniform Algorithm-R once the
   cap is hit) so small runs still get *exact* percentiles and
   ``.values`` keeps working for report code.
@@ -61,51 +62,10 @@ def bucket_index(value: float) -> int:
     return index
 
 
-def bucket_bounds(index: int) -> tuple[float, float]:
-    """The ``[low, high)`` value range of bucket *index*."""
-    return (
-        2.0 ** (index / BUCKETS_PER_OCTAVE),
-        2.0 ** ((index + 1) / BUCKETS_PER_OCTAVE),
-    )
-
-
 def bucket_representative(index: int) -> float:
     """The value reported for observations that landed in bucket *index*
-    (the geometric midpoint of its bounds)."""
+    (the geometric midpoint of its ``[2**(i/B), 2**((i+1)/B))`` range)."""
     return 2.0 ** ((index + 0.5) / BUCKETS_PER_OCTAVE)
-
-
-def quantile_from_buckets(
-    buckets: dict[int, int],
-    nonpositive: int,
-    count: int,
-    min_value: float,
-    max_value: float,
-    p: float,
-) -> float:
-    """Nearest-rank quantile of a log-bucket digest (shared by the
-    cumulative :class:`Histogram` and the sliding windows).
-
-    *buckets* maps bucket index → count of positive observations,
-    *nonpositive* counts observations ``<= 0`` (which sort below every
-    bucket), *count* is their sum, and *min_value*/*max_value* are the
-    exactly-tracked extremes used to clamp the bucket representative.
-    """
-    if count == 0:
-        return 0.0
-    if not 0.0 <= p <= 100.0:
-        raise ValueError(f"percentile must be in [0, 100], got {p}")
-    if p == 0.0:
-        return min_value
-    rank = math.ceil(p / 100.0 * count)
-    if rank <= nonpositive:
-        return min(min_value, 0.0)
-    cumulative = nonpositive
-    for index in sorted(buckets):
-        cumulative += buckets[index]
-        if cumulative >= rank:
-            return min(max(bucket_representative(index), min_value), max_value)
-    return max_value  # pragma: no cover - rank <= count always lands
 
 
 def percentile(values: Sequence[float], p: float) -> float:
@@ -171,33 +131,19 @@ class Gauge:
         return f"Gauge({self.name!r}, value={self.value}, max={self.max_value})"
 
 
-class Histogram:
-    """A fixed-memory distribution with exact-then-bounded percentiles.
+class Digest:
+    """The fixed-memory core of every histogram in ``repro.obs``.
 
-    See the module docstring for the memory model.  ``values`` is the
-    bounded reservoir — the full sample list while ``count`` is within
-    the reservoir capacity, a uniform sample of the stream beyond it.
+    Exact ``count`` / ``total`` / ``min`` / ``max`` plus the log-bucket
+    counts (observations ``<= 0`` tallied apart, since they sort below
+    every bucket).  :class:`Histogram` adds a raw-sample reservoir on
+    top; each frame of a :class:`~repro.obs.live.SlidingHistogram` is a
+    bare digest, and a window is the :meth:`merge` of its frames.
     """
 
-    __slots__ = (
-        "name",
-        "values",
-        "_capacity",
-        "_count",
-        "_total",
-        "_min",
-        "_max",
-        "_nonpositive",
-        "_buckets",
-        "_rng",
-    )
+    __slots__ = ("_count", "_total", "_min", "_max", "_nonpositive", "_buckets")
 
-    def __init__(self, name: str, reservoir: int = DEFAULT_RESERVOIR):
-        if reservoir < 1:
-            raise ValueError("reservoir capacity must be >= 1")
-        self.name = name
-        self.values: list[float] = []
-        self._capacity = reservoir
+    def __init__(self) -> None:
         self._count = 0
         self._total = 0.0
         self._min: Optional[float] = None
@@ -205,8 +151,6 @@ class Histogram:
         #: observations <= 0 (timer-resolution zeros, empty-batch sizes)
         self._nonpositive = 0
         self._buckets: dict[int, int] = {}
-        # deterministic per-name stream so runs stay reproducible
-        self._rng = random.Random(zlib.crc32(name.encode("utf-8")))
 
     def observe(self, value: float) -> None:
         """Record one observation — O(1) time, bounded memory."""
@@ -221,13 +165,19 @@ class Histogram:
             self._buckets[index] = self._buckets.get(index, 0) + 1
         else:
             self._nonpositive += 1
-        if len(self.values) < self._capacity:
-            self.values.append(value)
-        else:
-            # Algorithm R: keep a uniform sample of the whole stream
-            slot = self._rng.randrange(self._count)
-            if slot < self._capacity:
-                self.values[slot] = value
+
+    def merge(self, other: "Digest") -> None:
+        """Fold every observation of *other* into this digest."""
+        self._count += other._count
+        self._total += other._total
+        if other._min is not None and (self._min is None or other._min < self._min):
+            self._min = other._min
+        if other._max is not None and (self._max is None or other._max > self._max):
+            self._max = other._max
+        self._nonpositive += other._nonpositive
+        buckets = self._buckets
+        for index, count in other._buckets.items():
+            buckets[index] = buckets.get(index, 0) + count
 
     @property
     def count(self) -> int:
@@ -249,6 +199,71 @@ class Histogram:
     def max(self) -> float:
         return self._max if self._max is not None else 0.0
 
+    def quantile(self, p: float) -> float:
+        """Nearest-rank quantile of the bucket digest (±~9% relative).
+
+        Non-positive observations rank below every bucket; a bucket's
+        representative is clamped to the exactly-tracked extremes.
+        """
+        count = self._count
+        if count == 0:
+            return 0.0
+        if not 0.0 <= p <= 100.0:
+            raise ValueError(f"percentile must be in [0, 100], got {p}")
+        if p == 0.0:
+            return self.min
+        rank = math.ceil(p / 100.0 * count)
+        if rank <= self._nonpositive:
+            return min(self.min, 0.0)
+        cumulative = self._nonpositive
+        for index in sorted(self._buckets):
+            cumulative += self._buckets[index]
+            if cumulative >= rank:
+                return min(max(bucket_representative(index), self.min), self.max)
+        return self.max  # pragma: no cover - rank <= count always lands
+
+    def bucket_counts(self) -> dict[int, int]:
+        """The log-bucket digest (index → count), non-positives excluded."""
+        return dict(self._buckets)
+
+    def approx_bytes(self) -> int:
+        """Approximate heap footprint of the bucket dict (hard-capped)."""
+        return sys.getsizeof(self._buckets) + sum(
+            sys.getsizeof(k) + sys.getsizeof(v) for k, v in self._buckets.items()
+        )
+
+
+class Histogram(Digest):
+    """A fixed-memory distribution with exact-then-bounded percentiles.
+
+    See the module docstring for the memory model.  ``values`` is the
+    bounded reservoir — the full sample list while ``count`` is within
+    the reservoir capacity, a uniform sample of the stream beyond it.
+    """
+
+    __slots__ = ("name", "values", "_capacity", "_rng")
+
+    def __init__(self, name: str, reservoir: int = DEFAULT_RESERVOIR):
+        if reservoir < 1:
+            raise ValueError("reservoir capacity must be >= 1")
+        super().__init__()
+        self.name = name
+        self.values: list[float] = []
+        self._capacity = reservoir
+        # deterministic per-name stream so runs stay reproducible
+        self._rng = random.Random(zlib.crc32(name.encode("utf-8")))
+
+    def observe(self, value: float) -> None:
+        """Record one observation — O(1) time, bounded memory."""
+        Digest.observe(self, value)
+        if len(self.values) < self._capacity:
+            self.values.append(value)
+        else:
+            # Algorithm R: keep a uniform sample of the whole stream
+            slot = self._rng.randrange(self._count)
+            if slot < self._capacity:
+                self.values[slot] = value
+
     @property
     def exact(self) -> bool:
         """Whether the reservoir still holds every observation."""
@@ -257,15 +272,9 @@ class Histogram:
     def percentile(self, p: float) -> float:
         """Nearest-rank percentile: exact while the reservoir holds the
         whole stream, log-bucket estimate (±~9% relative) beyond it."""
-        if self._count == 0:
-            return 0.0
-        if not 0.0 <= p <= 100.0:
-            raise ValueError(f"percentile must be in [0, 100], got {p}")
         if self.exact:
             return percentile(self.values, p)
-        return quantile_from_buckets(
-            self._buckets, self._nonpositive, self._count, self.min, self.max, p
-        )
+        return self.quantile(p)
 
     @property
     def p50(self) -> float:
@@ -279,10 +288,6 @@ class Histogram:
     def p99(self) -> float:
         return self.percentile(99)
 
-    def bucket_counts(self) -> dict[int, int]:
-        """The log-bucket digest (index → count), non-positives excluded."""
-        return dict(self._buckets)
-
     def approx_bytes(self) -> int:
         """Approximate heap footprint of this histogram's sample storage.
 
@@ -294,11 +299,7 @@ class Histogram:
         """
         size = sys.getsizeof(self.values)
         size += sum(sys.getsizeof(v) for v in self.values)
-        size += sys.getsizeof(self._buckets)
-        size += sum(
-            sys.getsizeof(k) + sys.getsizeof(v) for k, v in self._buckets.items()
-        )
-        return size
+        return size + Digest.approx_bytes(self)
 
     def summary(self) -> dict:
         """JSON-able digest of the distribution (stable legacy keys)."""

@@ -26,9 +26,10 @@ queue means: ``block`` waits for capacity (applying inline when no
 writer thread runs), ``shed`` rejects the update and counts it,
 ``flush`` forces an immediate synchronous commit to make room.
 
-Everything the service does is tallied both in :class:`ServiceStats`
-and through the process-wide :mod:`repro.obs` observer (``service.*``
-counters/histograms), so a traced serve run shows queue pressure,
+Everything the service does is counted in :class:`ServiceStats` and
+reported through the process-wide :mod:`repro.obs` observer
+(``service.*`` counters/histograms — the one copy of the latency and
+staleness distributions), so a traced serve run shows queue pressure,
 coalescing wins, commit latency and staleness side by side with the
 maintenance spans underneath.
 """
@@ -104,7 +105,11 @@ class ServiceConfig:
 
 @dataclass
 class ServiceStats:
-    """Lifetime tallies of one service (mirrors the ``service.*`` metrics)."""
+    """Lifetime counters of one service (mirrors the ``service.*`` counters).
+
+    Latency and staleness distributions live only in the ``service.*``
+    histograms, so nothing here grows with traffic.
+    """
 
     queries: int = 0
     submitted: int = 0
@@ -115,12 +120,6 @@ class ServiceStats:
     applied_ops: int = 0
     versions_published: int = 0
     coalescing: CoalesceStats = field(default_factory=CoalesceStats)
-    #: per-batch commit wall-clock (seconds), for p50/p95 reporting
-    commit_seconds: list[float] = field(default_factory=list)
-    #: per-query wall-clock (seconds)
-    query_seconds: list[float] = field(default_factory=list)
-    #: queries served by each retired version (staleness distribution)
-    queries_per_version: list[int] = field(default_factory=list)
 
 
 @dataclass
@@ -234,12 +233,11 @@ class IndexService:
         elapsed = time.perf_counter() - started
         obs = current_obs()
         self.stats.queries += 1
-        self.stats.query_seconds.append(elapsed)
         with self._query_count_lock:
             if snapshot.version == self._snapshot.version:
                 self._queries_this_version += 1
             # else: served a just-retired version; its count was already
-            # rolled into queries_per_version by the publisher
+            # observed into service.queries_per_version by the publisher
         obs.add("service.queries")
         obs.observe("service.query_seconds", elapsed)
         return ServedQuery(report=report, version=snapshot.version)
@@ -384,7 +382,6 @@ class IndexService:
         elapsed = time.perf_counter() - started
         self.stats.batches += 1
         self.stats.applied_ops += len(survivors)
-        self.stats.commit_seconds.append(elapsed)
         obs.add("service.batches")
         obs.add("service.applied_ops", len(survivors))
         obs.observe("service.batch_ops", len(survivors))
@@ -455,22 +452,9 @@ class IndexService:
             retired = self._queries_this_version
             self._queries_this_version = 0
             self._snapshot = snapshot
-        self.stats.queries_per_version.append(retired)
         self.stats.versions_published += 1
         obs.observe("service.queries_per_version", retired)
         obs.add("service.versions")
-        obs.set("graph.bytes", self._graph_bytes())
-        obs.set("index.bytes", self._index_bytes())
-
-    def _graph_bytes(self) -> int:
-        """Approximate resident bytes of the live graph (O(#pages))."""
-        return self.graph.approx_bytes()
-
-    def _index_bytes(self) -> int:
-        """Approximate resident bytes of the live index or family."""
-        if self.config.family == "one":
-            return self.guarded.index.approx_bytes()
-        return self.guarded.family.approx_bytes()
 
     # ------------------------------------------------------------------
     # Background writer
@@ -538,7 +522,14 @@ class IndexService:
             self._telemetry = None
 
     def health(self) -> dict:
-        """Service-level liveness facts for the ``/health`` endpoint."""
+        """Service-level liveness facts for the ``/health`` endpoint.
+
+        The one place the resident-size estimates are computed: ``/metrics``
+        reads its bytes gauges from here when scraped, never per commit.
+        """
+        live_index = (
+            self.guarded.index if self.config.family == "one" else self.guarded.family
+        )
         return {
             "family": self.config.family,
             "version": self.version,
@@ -555,8 +546,8 @@ class IndexService:
             "batches": self.stats.batches,
             "batch_failures": self.stats.batch_failures,
             "versions_published": self.stats.versions_published,
-            "graph_bytes": self._graph_bytes(),
-            "index_bytes": self._index_bytes(),
+            "graph_bytes": self.graph.approx_bytes(),
+            "index_bytes": live_index.approx_bytes(),
             "last_full_check": self._last_full_check(),
         }
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -65,9 +66,12 @@ class SessionMix:
 class DriverReport:
     """What one closed-loop run measured.
 
-    Latency percentiles come straight from the service's stats; the
-    throughput figures are wall-clock over the whole loop (including
-    flush time — this is a closed loop, queries wait their turn).
+    Latency percentiles are timed by the driver around the calls it
+    makes — each ``query`` and each ``flush`` that committed a batch —
+    so with a background writer as pacemaker the driver flushes nothing
+    and the commit percentiles stay 0.  The throughput figures are
+    wall-clock over the whole loop (including flush time — this is a
+    closed loop, queries wait their turn).
     """
 
     steps: int = 0
@@ -83,7 +87,8 @@ class DriverReport:
     query_p95_ms: float = 0.0
     commit_p50_ms: float = 0.0
     commit_p95_ms: float = 0.0
-    #: queries served per retired snapshot version (staleness profile)
+    #: this run's queries answered by each version it retired (staleness
+    #: profile; one entry per published version, 0 where no query landed)
     queries_per_version: list[int] = field(default_factory=list)
 
     @property
@@ -143,6 +148,10 @@ class ClosedLoopDriver:
         service = self.service
         report = DriverReport()
         stats_before = _StatsMark(service)
+        first_version = service.version
+        served = Counter()  # version -> queries it answered
+        query_laps: list[float] = []
+        self._commit_laps: list[float] = []
         roster = ["query"] * mix.query_sessions + ["update"] * mix.update_sessions
         high_water = mix.flush_high_water or service.config.batch_max_ops
         # one generator shared by every update session; sized so the
@@ -152,7 +161,11 @@ class ClosedLoopDriver:
         for step in range(mix.steps):
             kind = roster[step % len(roster)]
             if kind == "query":
-                service.query(self.queries.sample())
+                expression = self.queries.sample()
+                asked = time.perf_counter()
+                answer = service.query(expression)
+                query_laps.append(time.perf_counter() - asked)
+                served[answer.version] += 1
                 report.queries += 1
             else:
                 op, source, target = next(update_ops)
@@ -167,6 +180,14 @@ class ClosedLoopDriver:
         report.wall_seconds = time.perf_counter() - started
         report.steps = mix.steps
         stats_before.fill(report)
+        report.query_p50_ms = percentile(query_laps, 50) * 1000
+        report.query_p95_ms = percentile(query_laps, 95) * 1000
+        report.commit_p50_ms = percentile(self._commit_laps, 50) * 1000
+        report.commit_p95_ms = percentile(self._commit_laps, 95) * 1000
+        report.queries_per_version = [
+            served[v]
+            for v in range(first_version, first_version + report.versions_published)
+        ]
         return report
 
     def _pace(self, high_water: int) -> None:
@@ -186,9 +207,12 @@ class ClosedLoopDriver:
                 return
 
     def _flush_one(self):
+        started = time.perf_counter()
         result = self.service.flush()
-        if result is not None and self.on_commit is not None:
-            self.on_commit(result)
+        if result is not None:
+            self._commit_laps.append(time.perf_counter() - started)
+            if self.on_commit is not None:
+                self.on_commit(result)
         return result
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -196,7 +220,7 @@ class ClosedLoopDriver:
 
 
 class _StatsMark:
-    """Before/after view over a service's stats for one driver run."""
+    """Before/after view over a service's counters for one driver run."""
 
     def __init__(self, service: IndexService):
         self.service = service
@@ -206,9 +230,6 @@ class _StatsMark:
         self.batch_failures = stats.batch_failures
         self.versions = stats.versions_published
         self.coalesced = stats.coalescing.removed
-        self.query_laps = len(stats.query_seconds)
-        self.commit_laps = len(stats.commit_seconds)
-        self.versions_mark = len(stats.queries_per_version)
 
     def fill(self, report: DriverReport) -> None:
         stats = self.service.stats
@@ -217,10 +238,3 @@ class _StatsMark:
         report.batch_failures = stats.batch_failures - self.batch_failures
         report.versions_published = stats.versions_published - self.versions
         report.coalesced_away = stats.coalescing.removed - self.coalesced
-        query_laps = stats.query_seconds[self.query_laps :]
-        commit_laps = stats.commit_seconds[self.commit_laps :]
-        report.query_p50_ms = percentile(query_laps, 50) * 1000
-        report.query_p95_ms = percentile(query_laps, 95) * 1000
-        report.commit_p50_ms = percentile(commit_laps, 50) * 1000
-        report.commit_p95_ms = percentile(commit_laps, 95) * 1000
-        report.queries_per_version = stats.queries_per_version[self.versions_mark :]

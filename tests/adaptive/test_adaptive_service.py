@@ -9,13 +9,18 @@ are checked against scratch evaluation per run.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.adaptive import AdaptiveConfig, AdaptiveIndexService
+from repro.adaptive.cost_model import CostConfig
 from repro.adaptive.router import SAFE
 from repro.exceptions import ServiceError
+from repro.graph.datagraph import EdgeKind
 from repro.query.evaluator import evaluate_on_graph
-from repro.service import ServiceConfig
+from repro.service import ServiceConfig, Update
+from repro.workload.random_graphs import candidate_edges
 from repro.workload.queries import QueryWorkload, ShiftingQueryPool
 from repro.workload.sessions import ClosedLoopDriver, SessionMix
 from repro.workload.updates import MixedUpdateWorkload
@@ -125,6 +130,41 @@ def test_reconstruct_now_publishes_a_correct_version(family):
         service.check()
     finally:
         service.close()
+
+
+def test_policy_reconstructs_the_one_family_but_never_a_minimum_ak_family():
+    """Split/merge A(k) maintenance keeps the minimum (Theorem 2), so its
+    growth past ``min_bloat`` is data growth: the controller must not
+    rebuild it (a rebuild would publish a version the batch never named).
+    The ``one`` family's bloat is still governed by the policy."""
+    cost = CostConfig(min_bloat=0.01, hard_bloat=0.02)
+    reconstructions = {}
+    for family in ("ak", "one"):
+        graph = generate_xmark(ADAPTIVE_XMARK).graph
+        service = build_service(
+            graph, family=family, adaptive=AdaptiveConfig(cost=cost)
+        )
+        start = service.snapshot.num_inodes
+        pairs = candidate_edges(graph, random.Random(5 + ADAPT_SEED), 64, acyclic=False)
+        try:
+            for first in range(0, len(pairs), 16):
+                for source, target in pairs[first : first + 16]:
+                    service.submit(Update.insert_edge(source, target, EdgeKind.IDREF))
+                result = service.flush()
+                if family == "ak":
+                    assert result.version == service.version
+            assert service.snapshot.num_inodes > (1 + cost.hard_bloat) * start
+            reconstructions[family] = service.controller.policy.reconstructions
+            service.check()
+        finally:
+            service.close()
+    assert reconstructions["ak"] == 0
+    assert reconstructions["one"] >= 1
+    # reconstruct_now stays callable for the minimum-keeping family
+    service = build_service(generate_xmark(ADAPTIVE_XMARK).graph, family="ak")
+    service.reconstruct_now(reason="manual")
+    assert service.version == 1
+    service.close()
 
 
 class TestLadderControl:

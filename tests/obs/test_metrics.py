@@ -6,6 +6,7 @@ import pytest
 
 from repro.obs.metrics import (
     Counter,
+    Digest,
     Gauge,
     Histogram,
     MetricsRegistry,
@@ -87,6 +88,38 @@ class TestHistogram:
             "count": 0, "total": 0.0, "mean": 0.0,
             "min": 0.0, "max": 0.0, "p50": 0.0, "p95": 0.0,
         }
+
+
+class TestDigest:
+    """The one digest behind cumulative histograms and sliding windows."""
+
+    # exactly representable, so totals agree whatever the summing order
+    VALUES = [0.0, -1.0, 0.25, 0.5, 3.0, 3.0, 1024.0]
+
+    def test_merge_equals_observing_everything_in_one(self):
+        whole, parts = Digest(), [Digest(), Digest(), Digest()]
+        for i, value in enumerate(self.VALUES):
+            whole.observe(value)
+            parts[i % 2].observe(value)  # parts[2] stays empty
+        merged = Digest()
+        for part in parts:
+            merged.merge(part)
+        assert (merged.count, merged.total, merged.min, merged.max) == (
+            whole.count, whole.total, whole.min, whole.max
+        )
+        assert merged.bucket_counts() == whole.bucket_counts()
+        for p in (0, 10, 50, 95, 99, 100):
+            assert merged.quantile(p) == whole.quantile(p)
+
+    def test_histogram_is_a_digest_plus_reservoir(self):
+        h = Histogram("lat", reservoir=4)
+        digest = Digest()
+        for value in self.VALUES:
+            h.observe(value)
+            digest.observe(value)
+        assert not h.exact
+        assert h.bucket_counts() == digest.bucket_counts()
+        assert h.p95 == digest.quantile(95)
 
 
 class TestRegistry:

@@ -17,7 +17,9 @@ import urllib.request
 
 import pytest
 
-from repro.graph.datagraph import EdgeKind
+from repro.graph.datagraph import DataGraph, EdgeKind
+from repro.index.akindex import AkIndexFamily
+from repro.index.base import StructuralIndex
 from repro.obs import InMemorySink, SloRule, observed
 from repro.resilience.faults import FaultInjector
 from repro.resilience.guard import GuardConfig
@@ -110,6 +112,43 @@ class TestServiceHealth:
         assert doc["submitted"] == 2
         json.dumps(doc)
 
+
+    @pytest.mark.parametrize("family", ["one", "ak"])
+    def test_bytes_gauges_are_read_from_health_when_scraped(
+        self, xmark_graph, monkeypatch, family
+    ):
+        """``/metrics`` renders the resident-size gauges from ``health()``
+        when scraped; no commit computes them."""
+        calls = []
+        for cls in (DataGraph, StructuralIndex, AkIndexFamily):
+            original = cls.approx_bytes
+
+            def spy(self, *args, _original=original, **kwargs):
+                calls.append(type(self).__name__)
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "approx_bytes", spy)
+        with observed():
+            service = IndexService(xmark_graph, ServiceConfig(family=family))
+            telemetry = service.start_telemetry()
+            try:
+                for update in idref_ops(xmark_graph, 3):
+                    service.submit(update)
+                    service.flush()
+                assert service.version == 3
+                assert calls == []
+                with urllib.request.urlopen(f"{telemetry.url}/metrics") as response:
+                    body = response.read()
+                health = service.health()
+            finally:
+                service.close()
+        samples = dict(
+            line.rsplit(" ", 1)
+            for line in body.decode().splitlines()
+            if line and not line.startswith("#")
+        )
+        assert int(samples["repro_graph_bytes"]) == health["graph_bytes"] > 0
+        assert int(samples["repro_index_bytes"]) == health["index_bytes"] > 0
 
     def test_check_scopes_on_metrics_health_and_flight(self, xmark_graph):
         """Scoped/full check counters and histograms reach ``/metrics``,
